@@ -32,14 +32,14 @@
 //!                   then N timed rounds; the flat pages/sec keys in
 //!                   `BENCH_fleet.json` become medians, and a `"spread"` object
 //!                   records median/min/max/MAD/IQR plus the raw samples per
-//!                   metric — the shape `perf_gate` ingests.
+//!                   metric — the numbers `perf_gate` checks.
 //!   --tree-fanout N merge and push patch plans through a hierarchical manager
 //!                   tree with fan-out N (0 = flat, the default)
 //!   --sweep LIST    scale sweep: for each comma-separated member count (e.g.
 //!                   `1000,10000,100000`) drive an event-engine fleet to
 //!                   fleet-wide immunity, measure pages/sec and bytes/member,
 //!                   print the table, and write one JSON row per point to
-//!                   `BENCH_fleet_sweep.json` (gated by `bench_gate --cap`).
+//!                   `BENCH_fleet_sweep.json` (gated by `perf_gate --cap`).
 //!                   Runs only the sweep; other scenarios are skipped.
 //!   --transport T   transport backend for every fleet this run builds:
 //!                   `inprocess` (default) or `socket` (loopback TCP with real
@@ -58,7 +58,7 @@ use cv_apps::{
     evaluation_suite, expanded_learning_suite, learning_suite, red_team_exploits, Browser,
     MULTI_FAILURE_TARGETS,
 };
-use cv_bench::print_table;
+use cv_bench::{arg, cores, print_pairs, print_table, write_record};
 use cv_core::{learn_model, ClearViewConfig};
 use cv_fleet::{
     ChaosConfig, Fleet, FleetConfig, FleetMetrics, MembershipOp, Presentation,
@@ -66,7 +66,8 @@ use cv_fleet::{
 };
 use cv_inference::{InvariantDatabase, LearnedModel, LearningFrontend};
 use cv_obs::{chrome_trace_json, FixedHistogram, Summary, TraceEvent};
-use cv_perf::MetricStats;
+use cv_perf::json::{self, Value};
+use cv_perf::{json_obj, MetricStats};
 use cv_runtime::{EnvConfig, ManagedExecutionEnvironment, MonitorConfig};
 use std::time::Instant;
 
@@ -118,47 +119,27 @@ fn parse_options() -> Options {
         chaos: None,
     };
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut number = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| panic!("{name} requires a numeric argument"))
-        };
-        match arg.as_str() {
+    while let Some(name) = args.next() {
+        let args = &mut args;
+        match name.as_str() {
             "--json" => opts.json = true,
             "--churn" => opts.churn = true,
-            "--digest" => opts.digest = Some(args.next().expect("--digest requires a path")),
-            "--trace" => opts.trace = Some(args.next().expect("--trace requires a path")),
-            "--workers" => opts.workers = number("--workers"),
-            "--nodes" => opts.nodes = number("--nodes").max(16),
-            "--epochs" => opts.epochs = number("--epochs").max(1),
-            "--rounds" => opts.rounds = number("--rounds").max(1),
-            "--tree-fanout" => opts.tree_fanout = number("--tree-fanout"),
-            "--transport" => {
-                opts.transport = args.next().expect("--transport requires a backend name")
-            }
-            "--chaos" => {
-                let seed = args
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .expect("--chaos requires a numeric seed");
-                opts.chaos = Some(seed);
-            }
+            "--digest" => opts.digest = Some(arg(&name, args)),
+            "--trace" => opts.trace = Some(arg(&name, args)),
+            "--workers" => opts.workers = arg(&name, args),
+            "--nodes" => opts.nodes = arg::<usize>(&name, args).max(16),
+            "--epochs" => opts.epochs = arg::<usize>(&name, args).max(1),
+            "--rounds" => opts.rounds = arg::<usize>(&name, args).max(1),
+            "--tree-fanout" => opts.tree_fanout = arg(&name, args),
+            "--transport" => opts.transport = arg(&name, args),
+            "--chaos" => opts.chaos = Some(arg(&name, args)),
             "--sweep" => {
-                let list = args
-                    .next()
-                    .expect("--sweep requires a comma-separated list");
-                let points: Vec<usize> = list
-                    .split(',')
-                    .map(|p| {
-                        p.trim()
-                            .parse::<usize>()
-                            .unwrap_or_else(|_| panic!("--sweep: bad member count {p:?}"))
-                            .max(16)
-                    })
-                    .collect();
-                assert!(!points.is_empty(), "--sweep requires at least one point");
-                opts.sweep = Some(points);
+                let list: String = arg(&name, args);
+                let points = list.split(',').map(|point| {
+                    let point = point.trim().to_string();
+                    arg::<usize>("--sweep member count", &mut std::iter::once(point)).max(16)
+                });
+                opts.sweep = Some(points.collect());
             }
             other => panic!("unknown option {other}"),
         }
@@ -340,6 +321,30 @@ fn multi_failure(browser: &Browser, model: &LearnedModel, config: FleetConfig) -
     }
 }
 
+/// The multi-failure scenario under the sequential single-shard manager and
+/// the sharded one, on one learned model. Checked before anything is reported
+/// or written: both reach the same immunity and write byte-identical logs.
+fn manager_runs(browser: &Browser, opts: &Options) -> [MultiFailureRun; 2] {
+    let model = learn_model(
+        &browser.image,
+        &expanded_learning_suite(),
+        MonitorConfig::full(),
+    )
+    .0;
+    let config = FleetConfig::new(opts.nodes).with_transport(opts.transport_kind());
+    let sequential = config.sequential().with_manager_shards(1);
+    let sharded = config
+        .with_workers(opts.workers)
+        .with_manager_shards(MANAGER_SHARDS);
+    let runs = [sequential, sharded].map(|config| multi_failure(browser, &model, config));
+    assert_eq!(runs[0].immune, runs[1].immune, "manager parity violated");
+    assert_eq!(
+        runs[0].log, runs[1].log,
+        "sequential and sharded managers must write byte-identical logs"
+    );
+    runs
+}
+
 /// The outcome of the churn scenario.
 struct ChurnRun {
     killed: usize,
@@ -460,6 +465,15 @@ fn churn(browser: &Browser, opts: &Options) -> ChurnRun {
     }
 }
 
+/// The sweep's manager-tree fan-out: `--tree-fanout`, or 32 when flat.
+fn sweep_fanout(opts: &Options) -> usize {
+    if opts.tree_fanout == 0 {
+        32
+    } else {
+        opts.tree_fanout
+    }
+}
+
 /// One measured point of the scale sweep.
 struct ScaleRow {
     members: usize,
@@ -487,11 +501,7 @@ fn scale_point(browser: &Browser, nodes: usize, opts: &Options) -> ScaleRow {
         .find(|e| e.bugzilla == 290162)
         .unwrap();
     let location = browser.sym("vuln_290162_call");
-    let fanout = if opts.tree_fanout == 0 {
-        32
-    } else {
-        opts.tree_fanout
-    };
+    let fanout = sweep_fanout(opts);
 
     let mut fleet = Fleet::new(
         browser.image.clone(),
@@ -588,15 +598,11 @@ fn scale_point(browser: &Browser, nodes: usize, opts: &Options) -> ScaleRow {
 }
 
 /// `--sweep`: measure each member count, print the scaling table, and write
-/// `BENCH_fleet_sweep.json` — `bench_gate --cap` holds `bytes_per_member` to the
+/// `BENCH_fleet_sweep.json` — `perf_gate --cap` holds `bytes_per_member` to the
 /// ≤ 1 KiB budget from there.
 fn run_sweep(points: &[usize], opts: &Options) {
     let browser = Browser::build();
-    let fanout = if opts.tree_fanout == 0 {
-        32
-    } else {
-        opts.tree_fanout
-    };
+    let fanout = sweep_fanout(opts);
     let rows: Vec<ScaleRow> = points
         .iter()
         .map(|&nodes| {
@@ -644,35 +650,41 @@ fn run_sweep(points: &[usize], opts: &Options) {
             .collect::<Vec<_>>(),
     );
 
-    let point_json: Vec<String> = rows
+    write_record(
+        "BENCH_fleet_sweep.json",
+        &sweep_record(&rows, opts.workers, fanout),
+    );
+}
+
+/// The `BENCH_fleet_sweep.json` record: one row per measured point.
+fn sweep_record(rows: &[ScaleRow], workers: usize, fanout: usize) -> Value {
+    let points: Vec<Value> = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\n      \"members\": {},\n      \"epochs_to_immunity\": {},\n      \"pages_per_second\": {:.1},\n      \"bytes_per_member\": {:.1},\n      \"resident_bytes_per_member\": {:.1},\n      \"tier_depth\": {},\n      \"tier_sync_bytes\": {},\n      \"tier_delta_cuts\": {},\n      \"root_sync_bypass_count\": {},\n      \"root_sync_bypass_share\": {:.3},\n      \"immune_members\": {}\n    }}",
-                r.members,
-                r.epochs_to_immunity,
-                r.pages_per_second,
-                r.bytes_per_member,
-                r.resident_bytes_per_member,
-                r.tier_depth,
-                r.tier_sync_bytes,
-                r.tier_delta_cuts,
-                r.root_sync_bypass_count,
-                r.root_sync_bypass_share,
-                r.immune_members,
-            )
+            json_obj! {
+                "members": r.members,
+                "epochs_to_immunity": r.epochs_to_immunity,
+                "pages_per_second": r.pages_per_second,
+                "bytes_per_member": r.bytes_per_member,
+                "resident_bytes_per_member": r.resident_bytes_per_member,
+                "tier_depth": r.tier_depth,
+                "tier_sync_bytes": r.tier_sync_bytes,
+                "tier_delta_cuts": r.tier_delta_cuts,
+                "root_sync_bypass_count": r.root_sync_bypass_count,
+                "root_sync_bypass_share": r.root_sync_bypass_share,
+                "immune_members": r.immune_members,
+            }
         })
         .collect();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_scale_sweep\",\n  \"workers\": {},\n  \"cores\": {cores},\n  \"rounds\": 1,\n  \"warmups\": 0,\n  \"tree_fanout\": {fanout},\n  \"points\": [\n{}\n  ]\n}}\n",
-        opts.workers,
-        point_json.join(",\n"),
-    );
-    std::fs::write("BENCH_fleet_sweep.json", &json).expect("write BENCH_fleet_sweep.json");
-    println!("\nwrote BENCH_fleet_sweep.json:\n{json}");
+    json_obj! {
+        "bench": "fleet_scale_sweep",
+        "workers": workers,
+        "cores": cores(),
+        "rounds": 1usize,
+        "warmups": 0usize,
+        "tree_fanout": fanout,
+        "points": points,
+    }
 }
 
 /// Write the Chrome trace (the whole process: every fleet this run built) to
@@ -685,18 +697,25 @@ fn write_trace(path: &str, mut events: Vec<TraceEvent>, run: &ChurnRun) {
     reconcile(&summary, &run.metrics);
 
     events.extend(churn_events);
-    std::fs::write(path, chrome_trace_json(&events)).expect("write chrome trace");
-    let summary_path = match path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.summary.json"),
-        None => format!("{path}.summary.json"),
-    };
-    std::fs::write(&summary_path, summary.to_json()).expect("write trace summary");
+    let summary_path = write_trace_files(path, &events, &summary);
     println!("\nchurn-fleet phase summary (reconciled against FleetMetrics):\n{summary}");
     println!(
         "wrote {path} ({} events — open in chrome://tracing or ui.perfetto.dev) \
          and {summary_path}",
         events.len()
     );
+}
+
+/// Write `events` as a Chrome trace to `path` and `summary` to its
+/// `.summary.json` sibling, whose path is returned.
+fn write_trace_files(path: &str, events: &[TraceEvent], summary: &Summary) -> String {
+    std::fs::write(path, chrome_trace_json(events)).expect("write chrome trace");
+    let summary_path = format!(
+        "{}.summary.json",
+        path.strip_suffix(".json").unwrap_or(path)
+    );
+    std::fs::write(&summary_path, summary.to_json()).expect("write trace summary");
+    summary_path
 }
 
 /// Assert the trace-derived per-phase totals agree with the metrics fold. Each
@@ -736,33 +755,7 @@ fn reconcile(summary: &Summary, metrics: &FleetMetrics) {
 /// driving, plan merging, or the delta-sync byte accounting shows up as a diff.
 fn write_digest(path: &str, opts: &Options) {
     let browser = Browser::build();
-    let model = learn_model(
-        &browser.image,
-        &expanded_learning_suite(),
-        MonitorConfig::full(),
-    )
-    .0;
-    let seq_run = multi_failure(
-        &browser,
-        &model,
-        FleetConfig::new(opts.nodes)
-            .sequential()
-            .with_manager_shards(1)
-            .with_transport(opts.transport_kind()),
-    );
-    let par_run = multi_failure(
-        &browser,
-        &model,
-        FleetConfig::new(opts.nodes)
-            .with_workers(opts.workers)
-            .with_manager_shards(MANAGER_SHARDS)
-            .with_transport(opts.transport_kind()),
-    );
-    assert_eq!(seq_run.immune, par_run.immune, "manager parity violated");
-    assert_eq!(
-        seq_run.log, par_run.log,
-        "sequential and sharded managers must write byte-identical logs"
-    );
+    let [_, par_run] = manager_runs(&browser, opts);
     let churn_run = churn(&browser, opts);
 
     let digest = format!(
@@ -896,59 +889,31 @@ fn run_chaos(seed: u64, opts: &Options) {
     assert!(m.partition_drops > 0, "the partition dropped nothing");
     assert!(m.transport_resyncs > 0, "cut members never resynced");
 
-    print_table(
-        &format!(
-            "Chaos scenario (seed {seed}, {nodes} members, {} partitioned)",
-            cut.len()
-        ),
-        &["quantity", "value"],
+    let partitioned = cut.len();
+    print_pairs(
+        &format!("Chaos scenario (seed {seed}, {nodes} members, {partitioned} partitioned)"),
         &[
-            vec!["transport".into(), fleet.transport_name().to_string()],
-            vec!["epochs to dual immunity".into(), epochs_run.to_string()],
-            vec!["envelopes sent".into(), m.envelopes_sent.to_string()],
-            vec![
-                "envelopes delivered".into(),
-                m.envelopes_delivered.to_string(),
-            ],
-            vec!["envelopes dropped".into(), m.envelopes_dropped.to_string()],
-            vec![
-                "envelopes duplicated".into(),
-                m.envelopes_duplicated.to_string(),
-            ],
-            vec!["retransmits".into(), m.retransmits.to_string()],
-            vec![
-                "duplicates suppressed".into(),
-                m.duplicates_suppressed.to_string(),
-            ],
-            vec!["partition drops".into(), m.partition_drops.to_string()],
-            vec!["member desyncs".into(), m.transport_desyncs.to_string()],
-            vec![
-                "member resyncs (delta)".into(),
+            ("transport", fleet.transport_name().to_string()),
+            ("epochs to dual immunity", epochs_run.to_string()),
+            ("envelopes sent", m.envelopes_sent.to_string()),
+            ("envelopes delivered", m.envelopes_delivered.to_string()),
+            ("envelopes dropped", m.envelopes_dropped.to_string()),
+            ("envelopes duplicated", m.envelopes_duplicated.to_string()),
+            ("retransmits", m.retransmits.to_string()),
+            ("duplicates suppressed", m.duplicates_suppressed.to_string()),
+            ("partition drops", m.partition_drops.to_string()),
+            ("member desyncs", m.transport_desyncs.to_string()),
+            (
+                "member resyncs (delta)",
                 format!("{} ({})", m.transport_resyncs, m.transport_delta_resyncs),
-            ],
+            ),
         ],
     );
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_scale_chaos\",\n  \"seed\": {seed},\n  \"nodes\": {nodes},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"rounds\": 1,\n  \"warmups\": 0,\n  \"partitioned_members\": {},\n  \"epochs_to_immunity\": {epochs_run},\n  \"envelopes_sent\": {},\n  \"envelopes_delivered\": {},\n  \"envelopes_dropped\": {},\n  \"envelopes_duplicated\": {},\n  \"retransmits\": {},\n  \"duplicates_suppressed\": {},\n  \"partition_drops\": {},\n  \"transport_desyncs\": {},\n  \"transport_resyncs\": {},\n  \"transport_delta_resyncs\": {}\n}}\n",
-        opts.workers,
-        cut.len(),
-        m.envelopes_sent,
-        m.envelopes_delivered,
-        m.envelopes_dropped,
-        m.envelopes_duplicated,
-        m.retransmits,
-        m.duplicates_suppressed,
-        m.partition_drops,
-        m.transport_desyncs,
-        m.transport_resyncs,
-        m.transport_delta_resyncs,
+    write_record(
+        "BENCH_fleet.json",
+        &chaos_record(seed, opts, cut.len(), epochs_run, m),
     );
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("\nwrote BENCH_fleet.json:\n{json}");
 
     if let Some(path) = &opts.digest {
         let digest = format!(
@@ -986,14 +951,110 @@ fn run_chaos(seed: u64, opts: &Options) {
             );
         }
         let summary = Summary::build_for_fleet(&events, fleet.obs_id());
-        std::fs::write(path, chrome_trace_json(&events)).expect("write chrome trace");
-        let summary_path = match path.strip_suffix(".json") {
-            Some(stem) => format!("{stem}.summary.json"),
-            None => format!("{path}.summary.json"),
-        };
-        std::fs::write(&summary_path, summary.to_json()).expect("write trace summary");
+        let summary_path = write_trace_files(path, &events, &summary);
         println!("\nchaos-fleet summary:\n{summary}");
         println!("wrote {path} and {summary_path}");
+    }
+}
+
+/// The `BENCH_fleet.json` record of a `--json` run, from the throughput
+/// scenario's statistics (`[sequential, parallel]` pages/sec and execution
+/// time per round), its merge timings, the two multi-failure runs, and the
+/// churn run, whose whole [`FleetMetrics`] aggregate rides along. The gated
+/// throughputs live in `"spread"`; the flat keys beside them are medians.
+fn fleet_record(
+    opts: &Options,
+    warmups: usize,
+    [seq, par, seq_exec, par_exec]: [&MetricStats; 4],
+    [merge_monolithic, merge_sharded_parallel]: [f64; 2],
+    [seq_run, par_run]: [&MultiFailureRun; 2],
+    churn: &ChurnRun,
+) -> Value {
+    let immunity = &par_run.immunity_epochs;
+    let max_immunity = immunity
+        .iter()
+        .map(|(_, epochs)| *epochs)
+        .max()
+        .unwrap_or(0);
+    let immunity: Value = Value::Obj(
+        (immunity.iter())
+            .map(|(bug, epochs)| (bug.to_string(), (*epochs).into()))
+            .collect(),
+    );
+    let metrics = json::parse(&churn.metrics.to_json("")).expect("FleetMetrics JSON parses");
+    json_obj! {
+        "bench": "fleet_scale",
+        "nodes": opts.nodes,
+        "workers": opts.workers,
+        "cores": cores(),
+        "epochs": opts.epochs,
+        "rounds": opts.rounds,
+        "warmups": warmups,
+        "transport": opts.transport.as_str(),
+        "tree_fanout": opts.tree_fanout,
+        "pages_per_second_sequential": seq.median,
+        "pages_per_second_parallel": par.median,
+        "scheduling_speedup": par.median / seq.median,
+        "merge_monolithic_seconds": merge_monolithic,
+        "merge_sharded_parallel_seconds": merge_sharded_parallel,
+        "manager_ms_per_epoch_sequential": seq_run.manager_ms_per_epoch,
+        "manager_ms_per_epoch_sharded": par_run.manager_ms_per_epoch,
+        "manager_parallel_speedup": par_run.manager_parallel_speedup,
+        "manager_shards": MANAGER_SHARDS,
+        "multi_failure_locations": MULTI_FAILURE_TARGETS.len(),
+        "immune_locations": par_run.immune,
+        "time_to_immunity_epochs_max": max_immunity,
+        "time_to_immunity_epochs": immunity,
+        "snapshot_bytes": churn.snapshot_bytes,
+        "churn_killed": churn.killed,
+        "churn_rejoined_delta": churn.rejoined_delta,
+        "churn_rejoined_full": churn.rejoined_full,
+        "churn_late_warm": churn.late_warm,
+        "churn_late_cold": churn.late_cold,
+        "delta_bytes_total": churn.delta_bytes,
+        "delta_full_bytes_total": churn.delta_full_bytes,
+        "delta_savings": churn.delta_savings,
+        "joiner_time_to_immunity_epochs_max": churn.joiner_tti_max,
+        "churn_immune_members": churn.immune_members,
+        "churn_total_members": churn.total_members,
+        "metrics": metrics,
+        "spread": json_obj! {
+            "pages_per_second_sequential": seq,
+            "pages_per_second_parallel": par,
+            "execution_ms_sequential": seq_exec,
+            "execution_ms_parallel": par_exec,
+        },
+    }
+}
+
+/// The `--chaos` record: the chaos run's shape and its transport counters.
+fn chaos_record(
+    seed: u64,
+    opts: &Options,
+    partitioned: usize,
+    epochs: u64,
+    m: &FleetMetrics,
+) -> Value {
+    json_obj! {
+        "bench": "fleet_scale_chaos",
+        "seed": seed,
+        "nodes": opts.nodes,
+        "workers": opts.workers,
+        "cores": cores(),
+        "rounds": 1usize,
+        "warmups": 0usize,
+        "partitioned_members": partitioned,
+        "epochs_to_immunity": epochs,
+        "envelopes_sent": m.envelopes_sent,
+        "envelopes_delivered": m.envelopes_delivered,
+        "envelopes_dropped": m.envelopes_dropped,
+        "envelopes_duplicated": m.envelopes_duplicated,
+        "retransmits": m.retransmits,
+        "duplicates_suppressed": m.duplicates_suppressed,
+        "partition_drops": m.partition_drops,
+        "transport_desyncs": m.transport_desyncs,
+        "transport_resyncs": m.transport_resyncs,
+        "transport_delta_resyncs": m.transport_delta_resyncs,
     }
 }
 
@@ -1016,9 +1077,7 @@ fn main() {
     if opts.trace.is_some() {
         cv_obs::recorder().set_enabled(true);
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = cores();
     let worker_label = if opts.workers == 0 {
         format!("{cores} workers (auto)")
     } else {
@@ -1111,31 +1170,7 @@ fn main() {
     // The multi-failure manager benchmark: all eight exploitable defects attacked at
     // distinct addresses in every epoch, across the whole community.
     let browser = Browser::build();
-    let model = learn_model(
-        &browser.image,
-        &expanded_learning_suite(),
-        MonitorConfig::full(),
-    )
-    .0;
-    let seq_run = multi_failure(
-        &browser,
-        &model,
-        FleetConfig::new(opts.nodes)
-            .sequential()
-            .with_manager_shards(1)
-            .with_transport(opts.transport_kind()),
-    );
-    let par_run = multi_failure(
-        &browser,
-        &model,
-        FleetConfig::new(opts.nodes)
-            .with_workers(opts.workers)
-            .with_manager_shards(MANAGER_SHARDS)
-            .with_transport(opts.transport_kind()),
-    );
-    // Keep the benchmark honest before anything is reported or written: the
-    // sharded manager must reach the same immunity as the sequential one.
-    assert_eq!(seq_run.immune, par_run.immune, "manager parity violated");
+    let [seq_run, par_run] = manager_runs(&browser, &opts);
     print_table(
         &format!(
             "Sharded manager plane ({} exploits at distinct addresses, {} members, {MULTI_FAILURE_EPOCHS} epochs)",
@@ -1199,42 +1234,33 @@ fn main() {
             Vec::new()
         };
         let run = churn(&browser, &opts);
-        print_table(
+        let (delta, full) = (run.delta_bytes, run.delta_full_bytes);
+        print_pairs(
             &format!(
                 "Churn scenario ({} members, 20% killed mid-epoch, exploit 290162)",
                 opts.nodes
             ),
-            &["quantity", "value"],
             &[
-                vec!["killed mid-epoch".into(), run.killed.to_string()],
-                vec![
-                    "rejoined via delta sync".into(),
-                    run.rejoined_delta.to_string(),
-                ],
-                vec![
-                    "rejoined via full bootstrap".into(),
-                    run.rejoined_full.to_string(),
-                ],
-                vec![
-                    "late joins (warm / cold)".into(),
+                ("killed mid-epoch", run.killed.to_string()),
+                ("rejoined via delta sync", run.rejoined_delta.to_string()),
+                ("rejoined via full bootstrap", run.rejoined_full.to_string()),
+                (
+                    "late joins (warm / cold)",
                     format!("{} / {}", run.late_warm, run.late_cold),
-                ],
-                vec!["snapshot bytes".into(), run.snapshot_bytes.to_string()],
-                vec![
-                    "delta bytes vs full".into(),
-                    format!(
-                        "{} vs {} ({:.1}x saved)",
-                        run.delta_bytes, run.delta_full_bytes, run.delta_savings
-                    ),
-                ],
-                vec![
-                    "joiner time-to-immunity".into(),
+                ),
+                ("snapshot bytes", run.snapshot_bytes.to_string()),
+                (
+                    "delta bytes vs full",
+                    format!("{delta} vs {full} ({:.1}x saved)", run.delta_savings),
+                ),
+                (
+                    "joiner time-to-immunity",
                     format!("<= {} epoch(s)", run.joiner_tti_max),
-                ],
-                vec![
-                    "immune members after verify".into(),
+                ),
+                (
+                    "immune members after verify",
                     format!("{}/{}", run.immune_members, run.total_members),
-                ],
+                ),
             ],
         );
         assert_eq!(
@@ -1250,69 +1276,186 @@ fn main() {
     };
 
     if opts.json {
-        let immunity_entries: Vec<String> = par_run
-            .immunity_epochs
-            .iter()
-            .map(|(bug, epochs)| format!("\"{bug}\": {epochs}"))
-            .collect();
-        let max_immunity = par_run
-            .immunity_epochs
-            .iter()
-            .map(|(_, e)| *e)
-            .max()
-            .unwrap_or(0);
-        let churn_json = match &churn_run {
-            Some(run) => format!(
-                ",\n  \"snapshot_bytes\": {},\n  \"churn_killed\": {},\n  \"churn_rejoined_delta\": {},\n  \"churn_rejoined_full\": {},\n  \"churn_late_warm\": {},\n  \"churn_late_cold\": {},\n  \"delta_bytes_total\": {},\n  \"delta_full_bytes_total\": {},\n  \"delta_savings\": {:.2},\n  \"joiner_time_to_immunity_epochs_max\": {},\n  \"churn_immune_members\": {},\n  \"churn_total_members\": {}",
-                run.snapshot_bytes,
-                run.killed,
-                run.rejoined_delta,
-                run.rejoined_full,
-                run.late_warm,
-                run.late_cold,
-                run.delta_bytes,
-                run.delta_full_bytes,
-                run.delta_savings,
-                run.joiner_tti_max,
-                run.immune_members,
-                run.total_members,
-            ),
-            None => String::new(),
-        };
-        // The full churn-fleet aggregate, delta-cut and churn counters included,
-        // as one nested object — the gated throughput keys above stay flat and
-        // untouched.
-        let metrics_json = match &churn_run {
-            Some(run) => format!(",\n  \"metrics\": {}", run.metrics.to_json("  ")),
-            None => String::new(),
-        };
-        let speedup_json = match par_run.manager_parallel_speedup {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_string(),
-        };
-        // Per-metric multi-round statistics in the canonical cv-perf shape:
-        // rate spreads carry their raw samples, execution-time spreads come
-        // from the log2-µs histograms (bounded memory at any round count).
-        let spread_json = format!(
-            ",\n  \"spread\": {{\n    \"pages_per_second_sequential\": {},\n    \"pages_per_second_parallel\": {},\n    \"execution_ms_sequential\": {},\n    \"execution_ms_parallel\": {}\n  }}",
-            seq_stats.to_json(),
-            par_stats.to_json(),
-            MetricStats::from_histogram(&seq_hist).to_json(),
-            MetricStats::from_histogram(&par_hist).to_json(),
+        let run = churn_run
+            .as_ref()
+            .expect("--json implies the churn scenario");
+        let (seq_exec, par_exec) = (
+            MetricStats::from_histogram(&seq_hist),
+            MetricStats::from_histogram(&par_hist),
         );
-        let json = format!(
-            "{{\n  \"bench\": \"fleet_scale\",\n  \"nodes\": {},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"epochs\": {},\n  \"rounds\": {},\n  \"warmups\": {warmups},\n  \"pages_per_second_sequential\": {seq_rate:.1},\n  \"pages_per_second_parallel\": {par_rate:.1},\n  \"scheduling_speedup\": {scheduling_speedup:.3},\n  \"merge_monolithic_seconds\": {mono:.4},\n  \"merge_sharded_parallel_seconds\": {sharded_par:.4},\n  \"manager_ms_per_epoch_sequential\": {:.4},\n  \"manager_ms_per_epoch_sharded\": {:.4},\n  \"manager_parallel_speedup\": {speedup_json},\n  \"manager_shards\": {MANAGER_SHARDS},\n  \"multi_failure_locations\": {},\n  \"immune_locations\": {},\n  \"time_to_immunity_epochs_max\": {max_immunity},\n  \"time_to_immunity_epochs\": {{ {} }}{churn_json}{metrics_json}{spread_json}\n}}\n",
-            opts.nodes,
-            opts.workers,
-            opts.epochs,
-            opts.rounds,
-            seq_run.manager_ms_per_epoch,
-            par_run.manager_ms_per_epoch,
-            MULTI_FAILURE_TARGETS.len(),
-            par_run.immune,
-            immunity_entries.join(", "),
+        let stats = [&seq_stats, &par_stats, &seq_exec, &par_exec];
+        let runs = [&seq_run, &par_run];
+        let record = fleet_record(&opts, warmups, stats, [mono, sharded_par], runs, run);
+        write_record("BENCH_fleet.json", &record);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn options() -> Options {
+        Options {
+            json: true,
+            churn: true,
+            digest: None,
+            trace: None,
+            workers: 2,
+            nodes: 64,
+            epochs: 2,
+            rounds: 3,
+            tree_fanout: 0,
+            sweep: None,
+            transport: "inprocess".into(),
+            chaos: None,
+        }
+    }
+
+    /// Write `record` through the one writer and read it back.
+    fn round_trip(record: &Value) -> Value {
+        json::parse(&json::to_string(record)).expect("the writer's output parses")
+    }
+
+    /// Every occurrence of `key` in the `points` rows, as numbers.
+    fn point_values(record: &Value, key: &str) -> Vec<Option<f64>> {
+        let points = record.get("points").and_then(Value::as_arr).unwrap();
+        points
+            .iter()
+            .map(|p| p.get(key).and_then(Value::as_f64))
+            .collect()
+    }
+
+    #[test]
+    fn throughput_record_parses_and_carries_every_gated_key() {
+        let rates = MetricStats::from_samples(&[5.9e5, 6.1e5, 6.2e5]);
+        let run = |speedup: Option<f64>| MultiFailureRun {
+            manager_ms_per_epoch: 0.05,
+            manager_parallel_speedup: speedup,
+            immune: 8,
+            immunity_epochs: vec![(269095, 4), (290162, 2)],
+            log: String::new(),
+        };
+        let churn = ChurnRun {
+            killed: 12,
+            rejoined_delta: 6,
+            rejoined_full: 6,
+            late_warm: 8,
+            late_cold: 2,
+            snapshot_bytes: 7383,
+            delta_bytes: 1674,
+            delta_full_bytes: 44508,
+            delta_savings: 26.59,
+            joiner_tti_max: 1,
+            immune_members: 74,
+            total_members: 74,
+            log: String::new(),
+            metrics: FleetMetrics::default(),
+            obs_id: 0,
+        };
+        let mut opts = options();
+        let record_for = |opts: &Options, speedup: Option<f64>| {
+            let runs = [&run(None), &run(speedup)];
+            round_trip(&fleet_record(
+                opts,
+                1,
+                [&rates; 4],
+                [0.06, 0.05],
+                runs,
+                &churn,
+            ))
+        };
+        let record = record_for(&opts, Some(1.5));
+        let (_, bench, keys) = cv_bench::GATED
+            .iter()
+            .find(|(file, _, _)| *file == "BENCH_fleet.json")
+            .unwrap();
+        assert_eq!(record.get("bench").unwrap().as_str(), Some(*bench));
+        for key in *keys {
+            let median = record
+                .get("spread")
+                .and_then(|s| s.get(key))
+                .and_then(|s| s.get("median"));
+            assert!(median.and_then(Value::as_f64).is_some(), "{key}");
+        }
+        // The history signature and comparability fields.
+        for key in [
+            "epochs",
+            "nodes",
+            "workers",
+            "tree_fanout",
+            "cores",
+            "rounds",
+            "warmups",
+        ] {
+            assert!(record.get(key).and_then(Value::as_f64).is_some(), "{key}");
+        }
+        assert_eq!(
+            record.get("transport").and_then(Value::as_str),
+            Some("inprocess")
         );
-        std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-        println!("\nwrote BENCH_fleet.json:\n{json}");
+        assert!(record.get("metrics").and_then(Value::as_obj).is_some());
+        assert_eq!(
+            record.get("manager_parallel_speedup").unwrap().as_f64(),
+            Some(1.5)
+        );
+
+        // The workload axes record what the run used.
+        opts.transport = "socket".into();
+        opts.tree_fanout = 8;
+        let record = record_for(&opts, None);
+        assert_eq!(
+            record.get("transport").and_then(Value::as_str),
+            Some("socket")
+        );
+        assert_eq!(record.get("tree_fanout").and_then(Value::as_f64), Some(8.0));
+        assert_eq!(record.get("manager_parallel_speedup"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn sweep_record_parses_and_carries_every_capped_key() {
+        let row = |members: usize| ScaleRow {
+            members,
+            epochs_to_immunity: 3,
+            pages_per_second: 2.5e5,
+            bytes_per_member: 272.9,
+            resident_bytes_per_member: 8.0,
+            tier_depth: 2,
+            tier_sync_bytes: 4_320_264,
+            tier_delta_cuts: 250,
+            root_sync_bypass_count: 0,
+            root_sync_bypass_share: 0.0,
+            immune_members: members,
+        };
+        let record = round_trip(&sweep_record(&[row(1000), row(10_000)], 2, 32));
+        // The keys CI caps in BENCH_fleet_sweep.json, present in every row.
+        for key in [
+            "bytes_per_member",
+            "root_sync_bypass_count",
+            "root_sync_bypass_share",
+            "tier_sync_bytes",
+        ] {
+            let values = point_values(&record, key);
+            assert_eq!(values.len(), 2, "{key}");
+            assert!(values.iter().all(Option::is_some), "{key}");
+        }
+        assert_eq!(point_values(&record, "bytes_per_member")[0], Some(272.9));
+    }
+
+    #[test]
+    fn chaos_record_parses_and_carries_every_capped_key() {
+        let mut metrics = FleetMetrics::default();
+        metrics.retransmits = 894;
+        metrics.envelopes_dropped = 114;
+        let record = round_trip(&chaos_record(42, &options(), 12, 9, &metrics));
+        assert_eq!(
+            record.get("bench").and_then(Value::as_str),
+            Some("fleet_scale_chaos")
+        );
+        // The keys CI caps in the chaos BENCH_fleet.json.
+        assert_eq!(record.get("retransmits").unwrap().as_f64(), Some(894.0));
+        assert_eq!(
+            record.get("envelopes_dropped").unwrap().as_f64(),
+            Some(114.0)
+        );
     }
 }

@@ -12,13 +12,14 @@
 //! `--rounds N` replays the captured stream N times per front end (after one
 //! untimed warmup pass each); the flat `events_per_second` keys become medians
 //! and a `"spread"` object carries median/min/max/MAD/IQR plus raw samples —
-//! the shape `perf_gate` ingests.
+//! the numbers `perf_gate` checks.
 
 use cv_apps::{learning_suite, Browser};
-use cv_bench::print_table;
+use cv_bench::{cores, json_and_rounds, print_table, write_record};
 use cv_inference::{InvariantDatabase, LearningFrontend, ReferenceFrontend};
 use cv_isa::Addr;
-use cv_perf::MetricStats;
+use cv_perf::json::Value;
+use cv_perf::{json_obj, MetricStats};
 use cv_runtime::{
     CostModel, EnvConfig, ExecEvent, ExecutionStats, ManagedExecutionEnvironment, Tracer,
 };
@@ -193,34 +194,19 @@ fn live_pass(browser: &Browser, pages: &[Vec<u32>]) -> (f64, ExecutionStats) {
     (start.elapsed().as_secs_f64(), env.cumulative_stats())
 }
 
+/// Untimed replay passes per front end before the timed rounds.
+const REPLAY_WARMUPS: usize = 1;
+
 /// Hot-path measurement repetitions of the learning suite: enough events that
 /// per-suite one-time costs (code-cache warmup, table growth) do not dominate, on a
 /// workload identical in shape to the paper's.
 const REPEAT: usize = 20;
 
 fn main() {
-    let mut json = false;
-    let mut rounds = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| panic!("--rounds requires a numeric argument"))
-                    .max(1)
-            }
-            other => panic!("unknown option {other}"),
-        }
-    }
+    let (json, rounds) = json_and_rounds();
     let browser = Browser::build();
     let pages = learning_suite();
     let cost = CostModel::default();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
 
     // The hot-path workload: the learning suite repeated REPEAT times.
     let workload: Vec<Vec<u32>> = std::iter::repeat_with(|| pages.clone())
@@ -241,15 +227,18 @@ fn main() {
     let (traced_wall, traced) = live_pass(&browser, &workload);
 
     // The front-end data plane in isolation: capture the event stream once, then
-    // replay it through each front end — one untimed warmup pass each (the first
+    // replay it through each front end — REPLAY_WARMUPS untimed passes each (the first
     // pass pays cold caches for everybody), then `rounds` timed passes whose
     // events/sec samples feed the spread statistics. Medians, not fastest-of-N:
     // one lucky round must not set the record.
-    let warmups = 1usize;
     let runs = capture(&browser, &workload);
-    let _ = fast_replay(&browser, &runs);
+    for _ in 0..REPLAY_WARMUPS {
+        fast_replay(&browser, &runs);
+    }
     let fast_passes: Vec<Pass> = (0..rounds).map(|_| fast_replay(&browser, &runs)).collect();
-    let _ = reference_replay(&browser, &runs);
+    for _ in 0..REPLAY_WARMUPS {
+        reference_replay(&browser, &runs);
+    }
     let reference_passes: Vec<Pass> = (0..rounds)
         .map(|_| reference_replay(&browser, &runs))
         .collect();
@@ -279,10 +268,8 @@ fn main() {
     let reference_stats = MetricStats::from_samples(&reference_rates);
     let events_per_sec = fast_stats.median;
     let ns_per_event = 1e9 / events_per_sec;
-    let frontend_seconds = fast.events as f64 / events_per_sec;
     let allocs_per_event = fast.allocs as f64 / fast.events as f64;
     let ref_events_per_sec = reference_stats.median;
-    let reference_seconds = reference.events as f64 / ref_events_per_sec;
     let speedup = events_per_sec / ref_events_per_sec;
 
     let sim_ratio = cost.cost(&traced) / cost.cost(&untraced);
@@ -360,20 +347,96 @@ fn main() {
     );
 
     if json {
-        let spread_json = format!(
-            "{{\n    \"events_per_second\": {},\n    \"reference_events_per_second\": {}\n  }}",
-            fast_stats.to_json(),
-            reference_stats.to_json(),
-        );
-        let record = format!(
-            "{{\n  \"bench\": \"learning_overhead\",\n  \"cores\": {cores},\n  \"rounds\": {rounds},\n  \"warmups\": {warmups},\n  \"pages\": {},\n  \"events\": {},\n  \"invariants\": {},\n  \"frontend_seconds\": {frontend_seconds:.4},\n  \"events_per_second\": {events_per_sec:.1},\n  \"ns_per_event\": {ns_per_event:.1},\n  \"allocations\": {},\n  \"allocations_per_event\": {allocs_per_event:.5},\n  \"reference_seconds\": {reference_seconds:.4},\n  \"reference_events_per_second\": {ref_events_per_sec:.1},\n  \"reference_allocations_per_event\": {:.5},\n  \"speedup_vs_reference\": {speedup:.2},\n  \"untraced_seconds\": {untraced_wall:.4},\n  \"traced_seconds\": {traced_wall:.4},\n  \"slowdown_vs_untraced\": {wall_ratio:.1},\n  \"spread\": {spread_json}\n}}\n",
+        let record = learning_record(
+            rounds,
             workload.len(),
-            fast.events,
-            fast.db.len(),
-            fast.allocs,
-            reference.allocs as f64 / reference.events as f64,
+            [fast, reference],
+            [&fast_stats, &reference_stats],
+            [untraced_wall, traced_wall],
         );
-        std::fs::write("BENCH_learning.json", &record).expect("write BENCH_learning.json");
-        println!("\nwrote BENCH_learning.json:\n{record}");
+        write_record("BENCH_learning.json", &record);
+    }
+}
+
+/// The `BENCH_learning.json` record, from the last interned and reference
+/// replay passes, their events/sec statistics, and the untraced and traced
+/// live wall times.
+fn learning_record(
+    rounds: usize,
+    pages: usize,
+    [fast, reference]: [&Pass; 2],
+    [fast_rate, reference_rate]: [&MetricStats; 2],
+    [untraced_wall, traced_wall]: [f64; 2],
+) -> Value {
+    let per_event = |pass: &Pass| pass.allocs as f64 / pass.events as f64;
+    let (fast_eps, reference_eps) = (fast_rate.median, reference_rate.median);
+    json_obj! {
+        "bench": "learning_overhead",
+        "cores": cores(),
+        "rounds": rounds,
+        "warmups": REPLAY_WARMUPS,
+        "pages": pages,
+        "events": fast.events,
+        "invariants": fast.db.len(),
+        "frontend_seconds": fast.events as f64 / fast_eps,
+        "events_per_second": fast_eps,
+        "ns_per_event": 1e9 / fast_eps,
+        "allocations": fast.allocs,
+        "allocations_per_event": per_event(fast),
+        "reference_seconds": reference.events as f64 / reference_eps,
+        "reference_events_per_second": reference_eps,
+        "reference_allocations_per_event": per_event(reference),
+        "speedup_vs_reference": fast_eps / reference_eps,
+        "untraced_seconds": untraced_wall,
+        "traced_seconds": traced_wall,
+        "slowdown_vs_untraced": traced_wall / untraced_wall,
+        "spread": json_obj! {
+            "events_per_second": fast_rate,
+            "reference_events_per_second": reference_rate,
+        },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cv_perf::json;
+
+    #[test]
+    fn record_parses_and_carries_every_gated_key() {
+        let pass = |seconds: f64| Pass {
+            seconds,
+            events: 1000,
+            allocs: 10,
+            db: InvariantDatabase::new(),
+        };
+        let rates = [
+            MetricStats::from_samples(&[9e6, 1e7, 1.1e7]),
+            MetricStats::from_samples(&[2e6, 2.5e6, 3e6]),
+        ];
+        let record = learning_record(
+            3,
+            1120,
+            [&pass(1e-4), &pass(4e-4)],
+            [&rates[0], &rates[1]],
+            [0.1, 0.12],
+        );
+        let record = json::parse(&json::to_string(&record)).unwrap();
+        let (_, bench, keys) = cv_bench::GATED
+            .iter()
+            .find(|(file, _, _)| *file == "BENCH_learning.json")
+            .unwrap();
+        assert_eq!(record.get("bench").unwrap().as_str(), Some(*bench));
+        for key in *keys {
+            let median = record
+                .get("spread")
+                .and_then(|s| s.get(key))
+                .and_then(|s| s.get("median"));
+            assert!(median.and_then(Value::as_f64).is_some(), "{key}");
+        }
+        // The history signature and comparability fields.
+        for key in ["pages", "cores", "rounds", "warmups"] {
+            assert!(record.get(key).and_then(Value::as_f64).is_some(), "{key}");
+        }
     }
 }

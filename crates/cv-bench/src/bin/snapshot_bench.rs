@@ -13,15 +13,16 @@
 //!               still averages over the inner `CODEC_ROUNDS` iterations). The
 //!               flat `encode_mb_s`/`decode_mb_s` row values become medians and
 //!               the record gains a `"spread"` object with per-size
-//!               median/min/max/MAD/IQR stats — the shape `perf_gate` ingests.
+//!               median/min/max/MAD/IQR stats — the numbers `perf_gate` checks.
 
 use cv_apps::{learning_suite, red_team_exploits, Browser};
-use cv_bench::print_table;
+use cv_bench::{cores, json_and_rounds, print_table, write_record};
 use cv_core::{ClearViewConfig, PatchPlan};
 use cv_fleet::{DeltaSnapshot, Fleet, FleetConfig, Presentation, ShardedInvariantStore, Snapshot};
 use cv_inference::{Invariant, InvariantDatabase, Variable};
 use cv_isa::{Operand, Reg};
-use cv_perf::MetricStats;
+use cv_perf::json::Value;
+use cv_perf::{json_obj, MetricStats};
 use cv_store::DeltaBuilder;
 use std::time::Instant;
 
@@ -31,6 +32,13 @@ const DELTA_ROUNDS: u32 = 20;
 /// constant across database sizes so the incremental column isolates O(changed).
 const DELTA_CHANGED: usize = 128;
 const NODES: usize = 64;
+/// Target database sizes (invariants) of the codec and delta-cut tables.
+const SIZES: [usize; 3] = [1_000, 10_000, 50_000];
+
+/// A size's label in the spread keys: `encode_mb_s_1k` … `decode_mb_s_50k`.
+fn size_label(size: usize) -> String {
+    format!("{}k", size / 1_000)
+}
 
 /// A deterministic synthetic database with roughly `target` invariants, shaped
 /// like learned state: per address, a one-of, a lower-bound, a less-than against
@@ -78,6 +86,8 @@ fn synthetic_db(target: usize) -> InvariantDatabase {
 const CODEC_WARMUPS: u32 = 2;
 
 struct CodecRow {
+    /// The target size the row was built for (one of [`SIZES`]).
+    size: usize,
     invariants: usize,
     bytes: usize,
     encode: MetricStats,
@@ -124,6 +134,7 @@ fn codec_throughput(invariants: usize, rounds: usize) -> CodecRow {
     }
 
     CodecRow {
+        size: invariants,
         invariants: snap.invariants.len(),
         bytes: bytes.len(),
         encode: MetricStats::from_samples(&encode_samples),
@@ -287,24 +298,9 @@ fn warm_start() -> WarmStartRun {
 }
 
 fn main() {
-    let mut json = false;
-    let mut rounds = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--rounds" => {
-                rounds = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| panic!("--rounds requires a numeric argument"))
-                    .max(1)
-            }
-            other => panic!("unknown option {other}"),
-        }
-    }
+    let (json, rounds) = json_and_rounds();
 
-    let rows: Vec<CodecRow> = [1_000usize, 10_000, 50_000]
+    let rows: Vec<CodecRow> = SIZES
         .into_iter()
         .map(|size| codec_throughput(size, rounds))
         .collect();
@@ -331,10 +327,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let delta_rows: Vec<DeltaCutRow> = [1_000usize, 10_000, 50_000]
-        .into_iter()
-        .map(delta_cut)
-        .collect();
+    let delta_rows: Vec<DeltaCutRow> = SIZES.into_iter().map(delta_cut).collect();
     print_table(
         &format!(
             "Delta cut: materialized diff vs. dirty-epoch incremental ({DELTA_ROUNDS} rounds, ~{DELTA_CHANGED} entries changed)"
@@ -388,57 +381,112 @@ fn main() {
     );
 
     if json {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let codec_rows: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{ \"invariants\": {}, \"bytes\": {}, \"encode_mb_s\": {:.2}, \"decode_mb_s\": {:.2} }}",
-                    r.invariants, r.bytes, r.encode.median, r.decode.median
-                )
-            })
-            .collect();
-        // Spread keys are unique per database size (the codec rows repeat the
-        // same key names row to row): encode_mb_s_1k … decode_mb_s_50k.
-        let spread_entries: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                let suffix = match r.invariants {
-                    n if n < 10_000 => "1k",
-                    n if n < 50_000 => "10k",
-                    _ => "50k",
-                };
-                format!(
-                    "    \"encode_mb_s_{suffix}\": {},\n    \"decode_mb_s_{suffix}\": {}",
-                    r.encode.to_json(),
-                    r.decode.to_json()
-                )
-            })
-            .collect();
-        let delta_cut_rows: Vec<String> = delta_rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{ \"invariants\": {}, \"changed\": {}, \"diff_us\": {:.1}, \"incremental_us\": {:.1} }}",
-                    r.invariants, r.changed, r.diff_us, r.incremental_us
-                )
-            })
-            .collect();
-        let out = format!(
-            "{{\n  \"bench\": \"snapshot\",\n  \"format_version\": {},\n  \"cores\": {cores},\n  \"rounds\": {rounds},\n  \"warmups\": {CODEC_WARMUPS},\n  \"codec\": [\n    {}\n  ],\n  \"delta_cut\": [\n    {}\n  ],\n  \"cold_epochs_to_protected\": {},\n  \"warm_epochs_to_protected\": {},\n  \"snapshot_bytes\": {},\n  \"delta_bytes\": {},\n  \"delta_savings\": {:.2},\n  \"spread\": {{\n{}\n  }}\n}}\n",
-            cv_store::FORMAT_VERSION,
-            codec_rows.join(",\n    "),
-            delta_cut_rows.join(",\n    "),
-            run.cold_epochs,
-            run.warm_epochs,
-            run.snapshot_bytes,
-            run.delta_bytes,
-            run.full_bytes as f64 / run.delta_bytes.max(1) as f64,
-            spread_entries.join(",\n"),
+        write_record(
+            "BENCH_snapshot.json",
+            &snapshot_record(&rows, &delta_rows, &run, rounds),
         );
-        std::fs::write("BENCH_snapshot.json", &out).expect("write BENCH_snapshot.json");
-        println!("\nwrote BENCH_snapshot.json:\n{out}");
+    }
+}
+
+/// The `BENCH_snapshot.json` record. The codec rows repeat the same key names
+/// row to row, so the gated spread keys carry the size: `encode_mb_s_1k` …
+/// `decode_mb_s_50k`.
+fn snapshot_record(
+    rows: &[CodecRow],
+    delta_rows: &[DeltaCutRow],
+    run: &WarmStartRun,
+    rounds: usize,
+) -> Value {
+    let codec: Vec<Value> = rows
+        .iter()
+        .map(|r| {
+            json_obj! {
+                "invariants": r.invariants,
+                "bytes": r.bytes,
+                "encode_mb_s": r.encode.median,
+                "decode_mb_s": r.decode.median,
+            }
+        })
+        .collect();
+    let delta_cut: Vec<Value> = delta_rows
+        .iter()
+        .map(|r| {
+            json_obj! {
+                "invariants": r.invariants,
+                "changed": r.changed,
+                "diff_us": r.diff_us,
+                "incremental_us": r.incremental_us,
+            }
+        })
+        .collect();
+    let spread = rows.iter().flat_map(|r| {
+        let label = size_label(r.size);
+        [("encode_mb_s", &r.encode), ("decode_mb_s", &r.decode)]
+            .map(|(metric, stats)| (format!("{metric}_{label}"), stats.into()))
+    });
+    json_obj! {
+        "bench": "snapshot",
+        "format_version": cv_store::FORMAT_VERSION,
+        "cores": cores(),
+        "rounds": rounds,
+        "warmups": CODEC_WARMUPS,
+        "codec": codec,
+        "delta_cut": delta_cut,
+        "cold_epochs_to_protected": run.cold_epochs,
+        "warm_epochs_to_protected": run.warm_epochs,
+        "snapshot_bytes": run.snapshot_bytes,
+        "delta_bytes": run.delta_bytes,
+        "delta_savings": run.full_bytes as f64 / run.delta_bytes.max(1) as f64,
+        "spread": Value::Obj(spread.collect()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cv_perf::json;
+
+    #[test]
+    fn record_parses_and_carries_every_gated_key() {
+        let rows: Vec<CodecRow> = SIZES
+            .into_iter()
+            .map(|size| CodecRow {
+                size,
+                invariants: size + 1,
+                bytes: size * 20,
+                encode: MetricStats::from_samples(&[80.0, 84.5]),
+                decode: MetricStats::from_samples(&[130.0, 138.25]),
+            })
+            .collect();
+        let delta_rows = vec![DeltaCutRow {
+            invariants: 1088,
+            changed: 128,
+            removed: 0,
+            diff_us: 77.0,
+            incremental_us: 20.1,
+        }];
+        let run = WarmStartRun {
+            cold_epochs: 5,
+            warm_epochs: 0,
+            snapshot_bytes: 7418,
+            delta_bytes: 279,
+            full_bytes: 7418,
+        };
+        let record = snapshot_record(&rows, &delta_rows, &run, 3);
+        let record = json::parse(&json::to_string(&record)).unwrap();
+        let (_, bench, keys) = cv_bench::GATED
+            .iter()
+            .find(|(file, _, _)| *file == "BENCH_snapshot.json")
+            .unwrap();
+        assert_eq!(record.get("bench").unwrap().as_str(), Some(*bench));
+        let spread = record.get("spread").unwrap().as_obj().unwrap();
+        assert_eq!(spread.len(), keys.len(), "exactly the gated keys");
+        for key in *keys {
+            let median = spread.get(*key).and_then(|s| s.get("median"));
+            assert!(median.and_then(Value::as_f64).is_some(), "{key}");
+        }
+        for key in ["cores", "rounds", "warmups"] {
+            assert!(record.get(key).and_then(Value::as_f64).is_some(), "{key}");
+        }
     }
 }

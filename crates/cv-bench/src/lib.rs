@@ -25,6 +25,48 @@ use cv_core::{learn_model, AttackTimeline, ClearViewConfig, ProtectedApplication
 use cv_inference::LearnedModel;
 use cv_runtime::{MonitorConfig, RunStatus};
 
+/// The gated keys of each bench record: `(file, bench, spread keys)`. Every key
+/// is a higher-is-better throughput (wall-clock latency gating on shared
+/// runners is a flake machine), read as the median of the record's `"spread"`
+/// entry by both of `perf_gate`'s comparative checks.
+pub const GATED: &[(&str, &str, &[&str])] = &[
+    (
+        "BENCH_fleet.json",
+        "fleet_scale",
+        &["pages_per_second_sequential", "pages_per_second_parallel"],
+    ),
+    (
+        "BENCH_learning.json",
+        "learning_overhead",
+        &["events_per_second"],
+    ),
+    (
+        "BENCH_snapshot.json",
+        "snapshot",
+        &[
+            "encode_mb_s_1k",
+            "decode_mb_s_1k",
+            "encode_mb_s_10k",
+            "decode_mb_s_10k",
+            "encode_mb_s_50k",
+            "decode_mb_s_50k",
+        ],
+    ),
+];
+
+/// CPU cores visible to this process, as the bench records report them.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Write a `BENCH_*.json` record to `path` through the one `cv_perf::json`
+/// writer, and echo it.
+pub fn write_record(path: &str, record: &cv_perf::json::Value) {
+    let text = cv_perf::json::to_string(record);
+    std::fs::write(path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}:\n{text}");
+}
+
 /// Maximum exploit presentations before the harness declares an exploit unpatched.
 pub const MAX_PRESENTATIONS: u32 = 40;
 
@@ -110,6 +152,40 @@ pub fn run_red_team(with_reconfiguration: bool) -> Vec<ExploitRun> {
             run_single_variant(&browser, &exploit, model, config)
         })
         .collect()
+}
+
+/// The argument after command-line option `name`, parsed; panics with the
+/// option's name when it is missing or malformed.
+pub fn arg<T: std::str::FromStr>(name: &str, args: &mut impl Iterator<Item = String>) -> T {
+    let value = args
+        .next()
+        .unwrap_or_else(|| panic!("{name} requires an argument"));
+    value
+        .parse()
+        .unwrap_or_else(|_| panic!("{name}: cannot parse {value:?}"))
+}
+
+/// The `--json` and `--rounds N` options of the single-record bench bins.
+pub fn json_and_rounds() -> (bool, usize) {
+    let (mut json, mut rounds) = (false, 1);
+    let mut args = std::env::args().skip(1);
+    while let Some(name) = args.next() {
+        match name.as_str() {
+            "--json" => json = true,
+            "--rounds" => rounds = arg::<usize>(&name, &mut args).max(1),
+            other => panic!("unknown option {other}"),
+        }
+    }
+    (json, rounds)
+}
+
+/// Print a two-column `quantity | value` table.
+pub fn print_pairs(title: &str, pairs: &[(&str, String)]) {
+    let rows: Vec<Vec<String>> = pairs
+        .iter()
+        .map(|(q, v)| vec![q.to_string(), v.clone()])
+        .collect();
+    print_table(title, &["quantity", "value"], &rows);
 }
 
 /// Simple fixed-width table printer used by the harness binaries.

@@ -4,7 +4,7 @@
 //! Before this module, the fleet had five ad-hoc membership/sync entry points
 //! (`crash_members`, `rejoin_member`, `join_member_warm`, `join_member_cold`,
 //! `resync_member`) plus the transport-resync pass's private path — six code
-//! paths, one accounting story each. They are now thin wrappers over
+//! paths, one accounting story each. They are now all one call,
 //! [`Fleet::apply_membership`](crate::Fleet::apply_membership) taking a
 //! [`MembershipOp`], and every sync inside it is served through a
 //! [`SyncSource`] — a trait implemented by both the root

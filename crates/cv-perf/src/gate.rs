@@ -1,7 +1,7 @@
 //! The changepoint/trend verdict engine.
 //!
-//! One-shot thresholding against a single committed baseline (the legacy
-//! `bench_gate`) has two failure modes: slow drift that stays inside the
+//! One-shot thresholding against a single committed baseline (`perf_gate`'s
+//! tolerance check) has two failure modes: slow drift that stays inside the
 //! tolerance every step but compounds across PRs, and a tolerance wide enough
 //! (30%) to be deaf to real 15% regressions. This engine replaces it with two
 //! rules evaluated against the *trailing history window* of comparable
@@ -47,7 +47,7 @@ pub struct GateConfig {
     pub window: usize,
     /// Minimum comparable records before the changepoint rule arms; below
     /// this the verdict is [`Outcome::ShortHistory`] (a pass with a note —
-    /// the legacy single-baseline gate still guards the bootstrap phase).
+    /// the single-baseline tolerance check still guards the bootstrap phase).
     pub min_history: usize,
     /// History medians (plus the fresh one) the drift rule looks at.
     pub drift_len: usize,

@@ -1,13 +1,13 @@
-//! A minimal, dependency-free JSON reader.
+//! A minimal, dependency-free JSON reader and writer.
 //!
 //! The perf plane's inputs are all produced by this workspace's own binaries
-//! (`BENCH_*.json`, `perf/history.jsonl`), but unlike `bench_gate`'s
-//! flat-scan extractor the history machinery needs real structure: nested
-//! objects, arrays of samples, and explicit `null`s. This is a small
-//! recursive-descent parser over the full JSON grammar — strict (trailing
-//! garbage, bare words, and unterminated strings are errors), with a
-//! deliberately simple number model: every number is an `f64`, because every
-//! number the perf plane reads is one.
+//! (`BENCH_*.json`, `perf/history.jsonl`), and they need real structure:
+//! nested objects, arrays of samples, and explicit `null`s. [`parse`] is a
+//! small recursive-descent parser over the full JSON grammar — strict
+//! (trailing garbage, bare words, unterminated strings, and duplicate object
+//! keys are errors), with a deliberately simple number model: every number is
+//! an `f64`, because every number the perf plane reads is one. [`to_string`]
+//! is the one writer every `BENCH_*.json` record goes through.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,6 +31,19 @@ pub enum Value {
 }
 
 impl Value {
+    /// Build an object from `(key, value)` entries. A repeated key is a bug in
+    /// the caller — it would silently drop a value — so it panics.
+    pub fn obj<'a>(entries: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        let mut map = BTreeMap::new();
+        for (key, value) in entries {
+            assert!(
+                map.insert(key.to_string(), value).is_none(),
+                "duplicate key {key:?}"
+            );
+        }
+        Value::Obj(map)
+    }
+
     /// The object entry at `key`, if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -70,6 +83,98 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Build an object [`Value`] from `"key": value` pairs, converting each value
+/// with `Value::from` (a repeated key panics, as in [`Value::obj`]):
+/// `json_obj! { "bench": "snapshot", "rounds": 5usize }`.
+#[macro_export]
+macro_rules! json_obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::json::Value::obj([$(($key, $crate::json::Value::from($value))),*])
+    };
+}
+
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Num(n as f64)
+            }
+        }
+    )*};
+}
+from_number!(f64, u32, u64, usize);
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(value: Option<T>) -> Value {
+        value.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Write `value` as indented JSON with a trailing newline — the one writer
+/// every `BENCH_*.json` record goes through. Arrays of scalars, and objects
+/// of scalars that are array rows, stay on one line; every other container
+/// puts one item per line. Integral numbers print without a fraction, other
+/// finite numbers in shortest round-trip form ([`fmt_f64`]), and non-finite
+/// ones as `null`: JSON has no `NaN`, and a reader notes a `null`.
+pub fn to_string(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, 0, false);
+    out + "\n"
+}
+
+fn write_value(out: &mut String, value: &Value, depth: usize, row: bool) {
+    let (open, close, items): (_, _, Vec<(Option<&String>, &Value)>) = match value {
+        Value::Null => return out.push_str("null"),
+        Value::Bool(b) => return out.push_str(&b.to_string()),
+        Value::Num(n) if !n.is_finite() => return out.push_str("null"),
+        Value::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
+            return out.push_str(&(*n as i64).to_string())
+        }
+        Value::Num(n) => return out.push_str(&fmt_f64(*n)),
+        Value::Str(s) => return out.push_str(&format!("\"{}\"", escape(s))),
+        Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Value::Obj(map) => ('{', '}', map.iter().map(|(k, v)| (Some(k), v)).collect()),
+    };
+    let array = open == '[';
+    let inline = (array || row)
+        && items
+            .iter()
+            .all(|(_, v)| !matches!(v, Value::Arr(_) | Value::Obj(_)));
+    let pad = |depth: usize| match inline {
+        true => String::new(),
+        false => format!("\n{}", "  ".repeat(depth)),
+    };
+    out.push(open);
+    for (index, (key, item)) in items.iter().enumerate() {
+        out.push_str(match (index, inline) {
+            (0, _) => "",
+            (_, true) => ", ",
+            (_, false) => ",",
+        });
+        out.push_str(&pad(depth + 1));
+        if let Some(key) = key {
+            out.push_str(&format!("\"{}\": ", escape(key)));
+        }
+        write_value(out, item, depth + 1, array);
+    }
+    if !items.is_empty() {
+        out.push_str(&pad(depth));
+    }
+    out.push(close);
 }
 
 /// A parse failure, with the byte offset it happened at.
@@ -166,12 +271,20 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            // Keeping the last of two equal keys would hide the first value
+            // from every reader; a record with one is malformed.
+            if map.insert(key, value).is_some() {
+                return Err(ParseError {
+                    message: "duplicate object key".to_string(),
+                    at: key_at,
+                });
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -352,6 +465,49 @@ mod tests {
         assert!(parse("{\"a\": 1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn duplicate_object_keys_are_rejected() {
+        let err = parse(r#"{"rate": 1.0, "rate": 2.0}"#).unwrap_err();
+        assert!(err.message.contains("duplicate"), "{err}");
+        assert_eq!(err.at, 14, "the error points at the repeated key");
+        // Equal keys in sibling objects are not duplicates.
+        assert!(parse(r#"[{"rate": 1.0}, {"rate": 2.0}]"#).is_ok());
+    }
+
+    #[test]
+    fn writer_output_parses_back_to_the_same_value() {
+        let value = json_obj! {
+            "bench": "fleet_scale",
+            "cores": 2usize,
+            "rate": 1234.5,
+            "speedup": Option::<f64>::None,
+            "nan": f64::NAN,
+            "rows": vec![json_obj! { "k": 1.0 }],
+            "samples": vec![1.0, 2.5],
+            "empty": json_obj! {},
+        };
+        let text = to_string(&value);
+        assert!(
+            text.contains("\"cores\": 2,"),
+            "integral without a fraction: {text}"
+        );
+        assert!(
+            text.contains("\"rows\": [\n    {\"k\": 1}\n  ]"),
+            "rows inline: {text}"
+        );
+        assert!(
+            text.contains("\"samples\": [1, 2.5]"),
+            "scalar array inline: {text}"
+        );
+        assert!(text.contains("\"nan\": null"), "{text}");
+        assert!(text.ends_with("}\n"), "{text}");
+        let mut expected = value.clone();
+        if let Value::Obj(map) = &mut expected {
+            map.insert("nan".to_string(), Value::Null);
+        }
+        assert_eq!(parse(&text).unwrap(), expected);
     }
 
     #[test]

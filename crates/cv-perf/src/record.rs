@@ -85,6 +85,21 @@ impl MetricStats {
     }
 }
 
+impl From<&MetricStats> for Value {
+    /// The same object as [`MetricStats::to_json`], as a tree for the
+    /// `"spread"` sections of `BENCH_*.json` records.
+    fn from(stats: &MetricStats) -> Value {
+        Value::obj([
+            ("iqr", stats.iqr.into()),
+            ("mad", stats.mad.into()),
+            ("max", stats.max.into()),
+            ("median", stats.median.into()),
+            ("min", stats.min.into()),
+            ("samples", stats.samples.clone().into()),
+        ])
+    }
+}
+
 impl PerfRecord {
     /// Serialize to the canonical single-line JSON form (no trailing newline).
     pub fn to_json_line(&self) -> String {
@@ -195,6 +210,14 @@ mod tests {
         let parsed = PerfRecord::parse(&line).unwrap();
         assert_eq!(parsed, record());
         assert_eq!(parsed.to_json_line(), line);
+    }
+
+    #[test]
+    fn stats_value_reads_back_to_the_same_stats() {
+        let stats = MetricStats::from_samples(&[512737.8, 513709.0, 509000.25]);
+        let text = json::to_string(&Value::from(&stats));
+        let back = MetricStats::from_json(&json::parse(&text).unwrap(), "k").unwrap();
+        assert_eq!(back, stats);
     }
 
     #[test]
